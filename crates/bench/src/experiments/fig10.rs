@@ -5,7 +5,7 @@
 use crate::report::{fmt3, geomean, Table};
 use crate::scale::Scale;
 use ta_baselines::Baseline;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmRequest, GemmShape, Session, TransArrayConfig};
 use ta_models::{LlamaConfig, PAPER_SEQ_LEN};
 use ta_sim::EnergyModel;
 use ta_workloads::sources::fig10_fc_source;
@@ -60,15 +60,16 @@ pub fn simulate(scale: Scale) -> Vec<FcResult> {
             ("TA-8bit", TransArrayConfig::paper_w8(), 8u32),
             ("TA-4bit", TransArrayConfig::paper_w4(), 4u32),
         ] {
-            let ta =
-                TransitiveArray::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
-            let n_tile = ta.config().n_tile();
+            let session =
+                Session::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg })
+                    .expect("paper design points are valid");
+            let n_tile = session.config().n_tile();
             let mut cycles = 0u64;
             let mut energy = 0.0f64;
             for (i, l) in layers.iter().enumerate() {
-                let mut src = fig10_fc_source(wbits, n_tile, i);
-                let rep =
-                    ta.simulate_layer(GemmShape::new(l.shape.n, l.shape.k, l.shape.m), &mut src);
+                let src = fig10_fc_source(wbits, n_tile, i);
+                let shape = GemmShape::new(l.shape.n, l.shape.k, l.shape.m);
+                let rep = session.run(GemmRequest::simulate(shape, src)).expect("valid").report;
                 cycles += rep.cycles;
                 energy += rep.energy_nj();
             }

@@ -3,22 +3,22 @@
 
 use crate::report::{fmt3, Table};
 use crate::scale::Scale;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmRequest, GemmShape, Session, TransArrayConfig};
 use ta_models::{LlamaConfig, PAPER_SEQ_LEN};
 use ta_sim::EnergyBreakdown;
 use ta_workloads::sources::fig11_source;
 
 /// Simulates the first FC layer and returns the breakdown.
 pub fn breakdown(scale: Scale) -> EnergyBreakdown {
-    let ta = TransitiveArray::new(TransArrayConfig {
+    let session = Session::new(TransArrayConfig {
         sample_limit: scale.sample_limit,
         ..TransArrayConfig::paper_w8()
-    });
+    })
+    .expect("paper design point is valid");
     let layer = LlamaConfig::l1_7b().fc_layers(PAPER_SEQ_LEN)[0];
-    let mut src = fig11_source(ta.config().n_tile());
-    let rep =
-        ta.simulate_layer(GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m), &mut src);
-    rep.energy
+    let src = fig11_source(session.config().n_tile());
+    let shape = GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m);
+    session.run(GemmRequest::simulate(shape, src)).expect("valid").report.energy
 }
 
 /// Renders the breakdown as Fig. 11's slices (percent of total).

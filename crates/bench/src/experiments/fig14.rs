@@ -5,7 +5,7 @@
 use crate::report::{fmt3, Table};
 use crate::scale::Scale;
 use ta_baselines::Baseline;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmRequest, GemmShape, Session, TransArrayConfig};
 use ta_models::resnet18_layers;
 use ta_sim::EnergyModel;
 use ta_workloads::sources::fig14_layer_source;
@@ -43,10 +43,11 @@ pub fn simulate(scale: Scale) -> Vec<LayerCycles> {
         } else {
             TransArrayConfig::paper_w8()
         };
-        let ta = TransitiveArray::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
-        let mut src = fig14_layer_source(layer.weight_bits, ta.config().n_tile(), layer.index);
-        let ta_cycles =
-            ta.simulate_layer(GemmShape::new(shape.n, shape.k, shape.m), &mut src).cycles;
+        let session = Session::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg })
+            .expect("paper design points are valid");
+        let src = fig14_layer_source(layer.weight_bits, session.config().n_tile(), layer.index);
+        let request = GemmRequest::simulate(GemmShape::new(shape.n, shape.k, shape.m), src);
+        let ta_cycles = session.run(request).expect("valid").report.cycles;
         out.push(LayerCycles {
             index: layer.index,
             name: layer.name.to_string(),

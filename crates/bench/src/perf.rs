@@ -31,7 +31,9 @@ mod suite;
 
 pub use gate::{compare, disabled_summary, GateOutcome};
 pub(crate) use json::json_str;
-pub use suite::{cached_replay, contention_workload, run_suite, run_suite_filtered};
+pub use suite::{
+    cached_replay, contention_workload, run_suite, run_suite_filtered, simulate_seeded,
+};
 
 /// Default plan-cache capacity for the cached LLaMA-7B workload (see
 /// [`ta_workloads::l7b`]).

@@ -10,7 +10,8 @@ use std::hint::black_box;
 use std::time::Instant;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, TileView};
 use ta_core::{
-    runtime, GemmReport, GemmShape, PatternSource, SlicedSource, TransArrayConfig, TransitiveArray,
+    runtime, GemmReport, GemmRequest, GemmShape, PatternSource, Session, SlicedSource,
+    TransArrayConfig,
 };
 use ta_hasse::{ExecScratch, ExecutionPlan, NullSink, Scoreboard, StaticSi};
 use ta_quant::gemm_i32;
@@ -57,22 +58,33 @@ fn measure<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (out, best)
 }
 
-/// One simulation of `shape` on `ta` (plan cache required), returning
-/// the report, the run's wall seconds, and the run's cache hit rate
-/// from counter deltas — the single definition of the warm-replay
+/// Opens a session on one of the suite's configurations.
+fn open(cfg: TransArrayConfig) -> Session {
+    Session::new(cfg).expect("suite configurations are valid")
+}
+
+/// One q_proj simulation of `shape` on `session` from a fresh pattern
+/// stream at `seed` (the layer's sources are stateful).
+pub fn simulate_seeded(session: &Session, shape: GemmShape, seed: u64) -> GemmReport {
+    let src = l7b::pattern_source_seeded(session.config().n_tile(), seed);
+    session.run(GemmRequest::simulate(shape, src)).expect("q_proj sources match the config").report
+}
+
+/// One simulation of `shape` on `session` (plan cache required),
+/// returning the report, the run's wall seconds, and the run's cache hit
+/// rate from counter deltas — the single definition of the warm-replay
 /// protocol shared by [`run_suite`] and the criterion benches. Call it
 /// once to warm the cache, then again for the warm-replay numbers (1.0
 /// hit rate when healthy).
 ///
 /// # Panics
 ///
-/// Panics if `ta` has no plan cache.
-pub fn cached_replay(ta: &TransitiveArray, shape: GemmShape, seed: u64) -> (GemmReport, f64, f64) {
+/// Panics if `session` has no plan cache.
+pub fn cached_replay(session: &Session, shape: GemmShape, seed: u64) -> (GemmReport, f64, f64) {
+    let ta = session.accelerator();
     let before = ta.plan_cache_stats().expect("cached_replay requires an enabled plan cache");
-    let n_tile = ta.config().n_tile();
     let start = Instant::now();
-    let mut src = l7b::pattern_source_seeded(n_tile, seed);
-    let rep = ta.simulate_layer(shape, &mut src);
+    let rep = simulate_seeded(session, shape, seed);
     let wall = start.elapsed().as_secs_f64();
     let after = ta.plan_cache_stats().expect("cached_replay requires an enabled plan cache");
     (rep, wall, after.delta(&before).hit_rate())
@@ -474,9 +486,8 @@ pub fn run_suite_filtered(
     // except the threads knob); the pair must agree bit-exactly.
     let shape = l7b::qproj_shape();
     let run_layer = |threads: usize| {
-        let ta = TransitiveArray::new(l7b::layer_config(scale, threads));
-        let n_tile = ta.config().n_tile();
-        measure(move || ta.simulate_layer(shape, &mut l7b::pattern_source(n_tile)))
+        let session = open(l7b::layer_config(scale, threads));
+        measure(move || simulate_seeded(&session, shape, l7b::PATTERN_SEED))
     };
     let family = ["l7b_qproj_serial", "l7b_qproj_parallel", "l7b_qproj_cached"];
     let serial: Option<(GemmReport, f64)> =
@@ -519,14 +530,10 @@ pub fn run_suite_filtered(
         // cache exists for. The best sample is therefore a warm-cache
         // time; the uncached serial wall is the denominator of
         // `speedup_cached`.
-        let cached_ta = TransitiveArray::new(TransArrayConfig {
-            plan_cache,
-            plan_cache_shards,
-            ..l7b::layer_config(scale, 1)
-        });
-        let n_tile = cached_ta.config().n_tile();
+        let cached =
+            open(TransArrayConfig { plan_cache, plan_cache_shards, ..l7b::layer_config(scale, 1) });
         let (cached_rep, cached_wall) =
-            measure(|| cached_ta.simulate_layer(shape, &mut l7b::pattern_source(n_tile)));
+            measure(|| simulate_seeded(&cached, shape, l7b::PATTERN_SEED));
         assert_eq!(
             *serial_rep, cached_rep,
             "determinism violation: plan-cached LLaMA-7B q_proj report differs from uncached"
@@ -536,7 +543,7 @@ pub fn run_suite_filtered(
         // (The timing loop's aggregate rate would depend on how many
         // iterations the pilot sized — a machine-speed artifact the gate
         // must not see.)
-        let (replay_rep, _, hit_rate) = cached_replay(&cached_ta, shape, l7b::PATTERN_SEED);
+        let (replay_rep, _, hit_rate) = cached_replay(&cached, shape, l7b::PATTERN_SEED);
         assert_eq!(*serial_rep, replay_rep, "warm plan-cached replay must stay bit-identical");
         plan_cache_hit_rate = hit_rate;
         speedup_cached = if cached_wall > 0.0 { serial_wall / cached_wall } else { 0.0 };
@@ -549,9 +556,17 @@ pub fn run_suite_filtered(
     if want("l7b_qproj_exec") {
         let (exec_w, exec_x) = l7b::exec_operands(scale);
         let exec_reference = gemm_i32(&exec_w, &exec_x);
-        let exec_ta = TransitiveArray::new(l7b::layer_config(scale, 1));
-        let ((exec_out, exec_rep), exec_wall) = measure(|| exec_ta.execute_gemm(&exec_w, &exec_x));
-        assert_eq!(exec_out, exec_reference, "functional execution engine must stay bit-exact");
+        let exec = open(l7b::layer_config(scale, 1));
+        let (exec_resp, exec_wall) = measure(|| {
+            let request = GemmRequest::execute(exec_w.clone(), exec_x.clone());
+            exec.run(request).expect("exec operands fit the config")
+        });
+        let exec_rep = exec_resp.report;
+        assert_eq!(
+            exec_resp.output.expect("execute requests return the output"),
+            exec_reference,
+            "functional execution engine must stay bit-exact"
+        );
         exec_ran = true;
         push_layer(&mut workloads, "l7b_qproj_exec", &exec_rep, exec_wall);
     }
@@ -624,7 +639,7 @@ pub fn run_suite_filtered(
 /// representative sub-tiles **outside** the measured region, warms every
 /// buffer with one full pass, then counts heap allocations across many
 /// replay passes of the engine's per-sub-tile work: pattern staging
-/// (`subtile_patterns_into` into a reused buffer, as `execute_gemm`'s
+/// (`subtile_patterns_into` into a reused buffer, as the execute path's
 /// worker loop does) + `evaluate_into` (dynamic) +
 /// `evaluate_tile_functional_into` (static) + the fused per-row
 /// accumulation. A healthy engine measures exactly `0.0` allocations per
@@ -677,7 +692,7 @@ fn measure_exec_allocs() -> f64 {
     let mut scratch = ExecScratch::new();
     let mut patterns: Vec<u16> = Vec::new();
 
-    // One pass = execute_gemm's per-worker steady state: re-stage each
+    // One pass = the execute path's per-worker steady state: re-stage each
     // sub-tile's patterns through the production source path, then run
     // both engines with the fused accumulation.
     let mut pass = |scratch: &mut ExecScratch, acc: &mut RowMajor<i64>, patterns: &mut Vec<u16>| {

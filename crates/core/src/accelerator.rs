@@ -163,25 +163,17 @@ impl Agg {
 }
 
 impl TransitiveArray {
-    /// Creates the accelerator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent.
-    pub fn new(cfg: TransArrayConfig) -> Self {
-        Self::with_energy_model(cfg, EnergyModel::paper_28nm())
-    }
-
-    /// Creates the accelerator with a custom energy model.
-    pub fn with_energy_model(cfg: TransArrayConfig, energy: EnergyModel) -> Self {
-        cfg.validate();
+    /// Creates the accelerator from a configuration that has already
+    /// passed [`TransArrayConfig::try_validate`] ([`crate::Session::new`]
+    /// is the only public constructor).
+    pub(crate) fn new(cfg: TransArrayConfig) -> Self {
         let plan_cache = (cfg.plan_cache > 0).then(|| {
             Arc::new(match cfg.plan_cache_shards {
                 0 => SharedPlanCache::new(cfg.plan_cache),
                 n => SharedPlanCache::with_shards(cfg.plan_cache, n),
             })
         });
-        Self { cfg, energy, plan_cache }
+        Self { cfg, energy: EnergyModel::paper_28nm(), plan_cache }
     }
 
     /// The configuration.
@@ -200,31 +192,22 @@ impl TransitiveArray {
     }
 
     /// Hit/miss/eviction counters of the plan cache (`None` when the
-    /// `plan_cache` knob is 0). Counters accumulate across every layer,
+    /// `plan_cache` knob is 0). Counters accumulate across every request,
     /// batch job, and worker thread of this accelerator (and its clones).
     pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
         self.plan_cache.as_ref().map(|c| c.stats())
     }
 
-    /// Simulates one GEMM at scale: every sampled weight sub-tile is
-    /// simulated exactly (Scoreboard, lanes, conflicts); cycle/op/energy
-    /// counts are scaled by the sampling fraction and the `M`-tiling
-    /// repetition (sub-tile schedules are input-independent, so this is
-    /// exact whenever sampling is off).
+    /// Simulates one GEMM at scale (a simulate request): every sampled
+    /// weight sub-tile is simulated exactly (Scoreboard, lanes,
+    /// conflicts); cycle/op/energy counts are scaled by the sampling
+    /// fraction and the `M`-tiling repetition (sub-tile schedules are
+    /// input-independent, so this is exact whenever sampling is off).
     ///
-    /// With `threads != 1` the sampled sub-tile sequence is sharded
-    /// across the tile-execution runtime; the report is bit-exact against
-    /// the serial run (see the `runtime` module's determinism contract).
-    /// Sources that cannot [`PatternSource::fork`] fall back to the
-    /// serial loop.
-    pub fn simulate_layer(&self, shape: GemmShape, source: &mut dyn PatternSource) -> GemmReport {
-        self.simulate_layer_with(shape, source, &Runtime::new(self.cfg.threads))
-    }
-
-    /// [`Self::simulate_layer`] on an explicit runtime (the [`Batch`]
-    /// API pins jobs to serial workers through this entry point).
-    ///
-    /// [`Batch`]: crate::runtime::Batch
+    /// With a multi-worker `rt` the sampled sub-tile sequence is sharded
+    /// across the pool; the report is bit-exact against the serial run
+    /// (see the `runtime` module's determinism contract). Sources that
+    /// cannot [`PatternSource::fork`] fall back to the serial loop.
     pub(crate) fn simulate_layer_with(
         &self,
         shape: GemmShape,
@@ -266,7 +249,7 @@ impl TransitiveArray {
         self.finalize(shape, agg, total)
     }
 
-    /// The parallel body of [`Self::simulate_layer`]: shards the sampled
+    /// The parallel body of [`Self::simulate_layer_with`]: shards the sampled
     /// sub-tile sequence into contiguous ranges, forks the source per
     /// worker, and merges per-worker aggregates in shard order. Returns
     /// `None` (caller falls back to serial) when the grid is too small to
@@ -314,63 +297,7 @@ impl TransitiveArray {
         Some(self.finalize(shape, Agg::merge_shards(&aggs), total))
     }
 
-    /// Executes one GEMM **functionally and exactly** (bit-exact against
-    /// [`ta_quant::gemm_i32`]) while producing the same performance report
-    /// as [`Self::simulate_layer`] without sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights don't fit `weight_bits`, the inputs don't fit
-    /// `act_bits`, shapes disagree, or an accumulator overflows `i32`.
-    /// Prefer [`Self::try_execute_gemm`] (or the [`crate::Session`] API)
-    /// in code that must not panic.
-    pub fn execute_gemm(&self, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
-        match self.try_execute_gemm(weights, input) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::execute_gemm`] with operand validation instead of panics:
-    /// shape mismatch and out-of-range operands come back as [`TaError`].
-    ///
-    /// # Errors
-    ///
-    /// [`TaError::ShapeMismatch`] when `weights.cols() != input.rows()`,
-    /// [`TaError::WeightRange`] / [`TaError::InputRange`] when an operand
-    /// exceeds the configured precision.
-    pub fn try_execute_gemm(
-        &self,
-        weights: &MatI32,
-        input: &MatI32,
-    ) -> Result<(MatI32, GemmReport), TaError> {
-        self.check_gemm_operands(weights, input)?;
-        Ok(self.execute_gemm_with(weights, input, &Runtime::new(self.cfg.threads), &mut NullSink))
-    }
-
-    /// [`Self::try_execute_gemm`] that additionally streams every
-    /// computed pattern result into `sink` as it is finalized (the
-    /// serving frontend's per-request streaming hook).
-    ///
-    /// Streaming runs the sub-tile grid **serially** so emissions arrive
-    /// in the deterministic serial order; the returned output and report
-    /// are bit-identical to [`Self::execute_gemm`] either way (the
-    /// determinism contract makes parallel ≡ serial).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::try_execute_gemm`].
-    pub fn execute_gemm_streaming(
-        &self,
-        weights: &MatI32,
-        input: &MatI32,
-        sink: &mut dyn ResultSink,
-    ) -> Result<(MatI32, GemmReport), TaError> {
-        self.check_gemm_operands(weights, input)?;
-        Ok(self.execute_gemm_with(weights, input, &Runtime::serial(), sink))
-    }
-
-    /// Validates `execute_gemm` operands against the configuration.
+    /// Validates execute-request operands against the configuration.
     pub(crate) fn check_gemm_operands(
         &self,
         weights: &MatI32,
@@ -391,19 +318,26 @@ impl TransitiveArray {
         Ok(())
     }
 
-    /// The execution engine behind every `execute_gemm` flavor: operands
-    /// are assumed validated. With a multi-worker runtime the weight
-    /// tiles shard across the pool (`sink` must then be [`NullSink`]-like
-    /// and is only fed from the serial path); [`crate::Session`] and the
-    /// batch paths pass [`Runtime::serial`] to pin one request to one
-    /// worker.
+    /// Executes one GEMM **functionally and exactly** (an execute
+    /// request; bit-exact against [`ta_quant::gemm_i32`]) while producing
+    /// the same performance report as [`Self::simulate_layer_with`]
+    /// without sampling. Operands are assumed validated. With a
+    /// multi-worker runtime the weight tiles shard across the pool
+    /// (`sink` must then be [`NullSink`]-like and is only fed from the
+    /// serial path); the serial `Session` flavors pass
+    /// [`Runtime::serial`] to pin one request to one worker.
+    ///
+    /// # Errors
+    ///
+    /// [`TaError::AccumulatorOverflow`] naming the first output element
+    /// (row-major) whose exact value does not fit `i32`.
     pub(crate) fn execute_gemm_with(
         &self,
         weights: &MatI32,
         input: &MatI32,
         rt: &Runtime,
         sink: &mut dyn ResultSink,
-    ) -> (MatI32, GemmReport) {
+    ) -> Result<(MatI32, GemmReport), TaError> {
         let shape = GemmShape::new(weights.rows(), weights.cols(), input.cols());
         let sliced = BitSlicedMatrix::slice_parallel(weights, self.cfg.weight_bits, rt.threads());
         let t = self.cfg.width as usize;
@@ -471,11 +405,16 @@ impl TransitiveArray {
             })
         };
         let agg = Agg::merge_shards(&aggs);
-        let out = MatI32::from_fn(shape.n, shape.m, |r, c| {
-            i32::try_from(acc.row(r)[c]).expect("TransArray accumulation overflowed i32")
-        });
+        // Narrow to the i32 output in one pass; a valid request can
+        // still overflow (a long enough dot product of extreme operands).
+        let mut narrowed = Vec::with_capacity(acc.as_slice().len());
+        for (i, &v) in acc.as_slice().iter().enumerate() {
+            let overflow = |_| TaError::AccumulatorOverflow { row: i / shape.m, col: i % shape.m };
+            narrowed.push(i32::try_from(v).map_err(overflow)?);
+        }
+        let out = MatI32::from_vec(shape.n, shape.m, narrowed);
         let report = self.finalize(shape, agg, (n_tiles * k_chunks) as u64);
-        (out, report)
+        Ok((out, report))
     }
 
     /// One worker's share of the fused execute path: walks `tiles` in
@@ -734,6 +673,19 @@ impl TransitiveArray {
 mod tests {
     use super::*;
     use ta_quant::gemm_i32;
+
+    /// Shorthands for the two engines on the configuration's own runtime
+    /// (`Session` needs a `'static` source, these tests borrow theirs).
+    impl TransitiveArray {
+        fn execute_gemm(&self, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
+            let rt = Runtime::new(self.cfg.threads);
+            self.execute_gemm_with(weights, input, &rt, &mut NullSink).unwrap()
+        }
+
+        fn simulate_layer(&self, shape: GemmShape, source: &mut dyn PatternSource) -> GemmReport {
+            self.simulate_layer_with(shape, source, &Runtime::new(self.cfg.threads))
+        }
+    }
 
     fn small_cfg(weight_bits: u32, mode: ScoreboardMode) -> TransArrayConfig {
         TransArrayConfig {

@@ -61,7 +61,7 @@ pub struct TransArrayConfig {
     /// multiset (LRU eviction; see `ta_hasse::PlanCache`). Cached and
     /// freshly-planned results are **bit-identical** — the cache changes
     /// wall time only, never a report. Shared by every worker thread of
-    /// one accelerator and by every job of a `Batch` on it. `TA_PLAN_CACHE`
+    /// one session and by every request of its `run_batch`. `TA_PLAN_CACHE`
     /// overrides the knob in the bench binaries.
     pub plan_cache: usize,
     /// Plan-cache shard count: `0` (the default) picks ~4× the host
@@ -113,30 +113,6 @@ impl TransArrayConfig {
         Self::paper_w8().to_builder()
     }
 
-    /// Returns the configuration with the runtime `threads` knob set
-    /// (`0` = one worker per available core).
-    #[deprecated(since = "0.1.0", note = "use TransArrayConfig::builder().threads(n).build()")]
-    pub fn with_threads(self, threads: usize) -> Self {
-        Self { threads, ..self }
-    }
-
-    /// Returns the configuration with the `plan_cache` knob set
-    /// (capacity in entries; `0` = off).
-    #[deprecated(since = "0.1.0", note = "use TransArrayConfig::builder().plan_cache(n).build()")]
-    pub fn with_plan_cache(self, plan_cache: usize) -> Self {
-        Self { plan_cache, ..self }
-    }
-
-    /// Returns the configuration with the `plan_cache_shards` knob set
-    /// (`0` = auto: ~4× cores rounded up to a power of two).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use TransArrayConfig::builder().plan_cache_shards(n).build()"
-    )]
-    pub fn with_plan_cache_shards(self, plan_cache_shards: usize) -> Self {
-        Self { plan_cache_shards, ..self }
-    }
-
     /// Table 1's design point with 4-bit weights (`N = 64` rows/tile).
     pub fn paper_w4() -> Self {
         Self { weight_bits: 4, ..Self::paper_w8() }
@@ -183,9 +159,8 @@ impl TransArrayConfig {
     }
 
     /// Validates internal consistency, returning the first violated
-    /// constraint. This is the non-panicking twin of [`Self::validate`]
-    /// and what [`ConfigBuilder::build`] and [`crate::Session::new`]
-    /// call.
+    /// constraint. [`ConfigBuilder::build`] and [`crate::Session::new`]
+    /// call it.
     ///
     /// # Errors
     ///
@@ -218,24 +193,11 @@ impl TransArrayConfig {
         self.scoreboard_config();
         Ok(())
     }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent parameters (zero sizes, indivisible rows,
-    /// unsupported widths). Prefer [`Self::try_validate`] (or the
-    /// [`ConfigBuilder`]) in code that must not panic.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Validating builder for [`TransArrayConfig`] — the front door of the
-/// request–response API. Unlike poking fields (or the deprecated
-/// `with_*` shims, which clamp or panic later), [`ConfigBuilder::build`]
+/// request–response API. Unlike poking fields (which clamp or fail
+/// later, at [`crate::Session::new`]), [`ConfigBuilder::build`]
 /// checks every knob **and** the cross-knob interactions up front and
 /// returns `Result<TransArrayConfig, ConfigError>`.
 ///
@@ -332,7 +294,7 @@ impl ConfigBuilder {
 
     /// Plan-cache shard count (`0` = auto). Requires `plan_cache > 0`
     /// and at most one shard per cache entry — violations are build
-    /// errors here where the legacy constructors clamp silently.
+    /// errors here where a hand-written configuration clamps silently.
     pub fn plan_cache_shards(mut self, plan_cache_shards: usize) -> Self {
         self.cfg.plan_cache_shards = plan_cache_shards;
         self
@@ -372,7 +334,7 @@ mod tests {
     #[test]
     fn table1_w8_design_point() {
         let c = TransArrayConfig::paper_w8();
-        c.validate();
+        c.try_validate().unwrap();
         assert_eq!(c.width, 8);
         assert_eq!(c.max_transrows, 256);
         assert_eq!(c.n_tile(), 32);
@@ -384,7 +346,7 @@ mod tests {
     #[test]
     fn table1_w4_design_point() {
         let c = TransArrayConfig::paper_w4();
-        c.validate();
+        c.try_validate().unwrap();
         assert_eq!(c.n_tile(), 64);
     }
 
@@ -402,7 +364,7 @@ mod tests {
         assert_eq!(TransArrayConfig::paper_w8().threads, 1);
         let four = TransArrayConfig::builder().threads(4).build().unwrap();
         assert_eq!(four.threads, 4);
-        TransArrayConfig::builder().threads(0).build().unwrap().validate();
+        TransArrayConfig::builder().threads(0).build().unwrap();
     }
 
     #[test]
@@ -410,7 +372,6 @@ mod tests {
         assert_eq!(TransArrayConfig::paper_w8().plan_cache, 0);
         let on = TransArrayConfig::builder().plan_cache(4096).build().unwrap();
         assert_eq!(on.plan_cache, 4096);
-        on.validate();
     }
 
     #[test]
@@ -419,14 +380,6 @@ mod tests {
         let sharded =
             TransArrayConfig::builder().plan_cache(4096).plan_cache_shards(8).build().unwrap();
         assert_eq!(sharded.plan_cache_shards, 8);
-        sharded.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn indivisible_rows_rejected() {
-        let c = TransArrayConfig { max_transrows: 100, weight_bits: 8, ..Default::default() };
-        c.validate();
     }
 
     #[test]
@@ -455,8 +408,8 @@ mod tests {
         // Shards without a cache would be silently ignored — rejected.
         let err = TransArrayConfig::builder().plan_cache_shards(4).build().unwrap_err();
         assert_eq!(err, ConfigError::ShardsWithoutCache { shards: 4 });
-        // More shards than entries would degenerate — the legacy path
-        // clamps, the builder refuses.
+        // More shards than entries would degenerate — a hand-written
+        // configuration clamps, the builder refuses.
         let err =
             TransArrayConfig::builder().plan_cache(8).plan_cache_shards(64).build().unwrap_err();
         assert_eq!(err, ConfigError::ShardsExceedCache { shards: 64, cache: 8 });
@@ -499,24 +452,5 @@ mod tests {
                 ..TransArrayConfig::paper_w8()
             }
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_compile_and_agree_with_builder() {
-        // The pre-builder constructors stay as thin shims so downstream
-        // code keeps compiling; they must keep producing the same
-        // configurations the builder does.
-        let shim = TransArrayConfig::paper_w8()
-            .with_threads(2)
-            .with_plan_cache(256)
-            .with_plan_cache_shards(4);
-        let built = TransArrayConfig::builder()
-            .threads(2)
-            .plan_cache(256)
-            .plan_cache_shards(4)
-            .build()
-            .unwrap();
-        assert_eq!(shim, built);
     }
 }

@@ -1,11 +1,9 @@
 //! Error types for the public request–response API.
 //!
-//! The historical entry points (`TransitiveArray::new`, `execute_gemm`)
-//! panic on bad inputs — fine for experiment drivers, fatal for a serving
-//! frontend. Everything reachable from [`crate::Session`] returns
-//! [`TaError`] instead; panics remain only for internal invariant
-//! violations (a computed pattern missing from the slab, an accumulator
-//! overflowing the simulated datapath).
+//! Everything reachable from [`crate::Session`] returns [`TaError`] on
+//! bad inputs instead of panicking — including an exact GEMM whose
+//! result does not fit the `i32` output. Panics remain only for internal
+//! invariant violations (a computed pattern missing from the slab).
 
 use std::error::Error;
 use std::fmt;
@@ -51,7 +49,7 @@ pub enum ConfigError {
         shards: usize,
     },
     /// More plan-cache shards than cache entries: every shard would hold
-    /// less than one entry. The legacy constructors clamp this silently;
+    /// less than one entry. A hand-written configuration clamps this;
     /// the builder rejects it.
     ShardsExceedCache {
         /// The requested shard count.
@@ -127,6 +125,14 @@ pub enum TaError {
         /// The accelerator's TransRow width.
         accelerator: u32,
     },
+    /// An exact GEMM's output element does not fit `i32`: the operands
+    /// were in range, but the `K`-long dot product overflowed.
+    AccumulatorOverflow {
+        /// Output row (weight row) of the first overflowing element.
+        row: usize,
+        /// Output column (input column) of the first overflowing element.
+        col: usize,
+    },
 }
 
 impl TaError {
@@ -143,6 +149,7 @@ impl TaError {
             Self::InputRange { .. } => "input_range",
             Self::WeightRange { .. } => "weight_range",
             Self::SourceWidthMismatch { .. } => "source_width_mismatch",
+            Self::AccumulatorOverflow { .. } => "accumulator_overflow",
         }
     }
 }
@@ -167,6 +174,9 @@ impl fmt::Display for TaError {
                 "source width mismatch: source emits width-{source} patterns but the \
                  accelerator runs width {accelerator}"
             ),
+            Self::AccumulatorOverflow { row, col } => {
+                write!(f, "output element ({row}, {col}) overflows i32")
+            }
         }
     }
 }
@@ -208,6 +218,7 @@ mod tests {
             (TaError::InputRange { act_bits: 8 }, "input_range"),
             (TaError::WeightRange { weight_bits: 4 }, "weight_range"),
             (TaError::SourceWidthMismatch { source: 4, accelerator: 8 }, "source_width_mismatch"),
+            (TaError::AccumulatorOverflow { row: 0, col: 0 }, "accumulator_overflow"),
         ];
         for (err, tag) in cases {
             assert_eq!(err.kind(), tag);

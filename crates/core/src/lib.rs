@@ -5,40 +5,43 @@
 //! Scoreboard (`ta-hasse`), the bit-slicing engine (`ta-bitslice`), and
 //! the hardware substrates (`ta-sim`) into:
 //!
-//! * [`TransArrayConfig`] — Table 1's design point (T=8, 256 TransRows,
-//!   6 units, 80 KB/unit buffers) with every knob the DSE sweeps;
-//! * [`process_dynamic`] / [`process_static`] — one unit processing one
-//!   sub-tile (Fig. 8), in dynamic- or static-Scoreboard mode;
-//! * [`TransitiveArray`] — the full accelerator: tiled layer simulation
-//!   with deterministic sampling for LLM-scale layers, DRAM traffic,
-//!   cycle and energy reports ([`GemmReport`]) — plus
-//!   [`TransitiveArray::execute_gemm`], the exact functional engine that
-//!   proves the architecture lossless against [`ta_quant::gemm_i32`];
+//! * [`Session`] — the one front door: every GEMM runs through
+//!   [`Session::run`], [`Session::run_serial`], [`Session::run_streaming`]
+//!   or [`Session::run_batch`] as a validated [`GemmRequest`] — either an
+//!   exact *execute* request, bit-identical to [`ta_quant::gemm_i32`], or
+//!   a performance-only *simulate* request over a [`PatternSource`] with
+//!   deterministic sampling for LLM-scale layers — and comes back as a
+//!   [`GemmResponse`] with the cycle/energy [`GemmReport`], or as a typed
+//!   [`TaError`];
+//! * [`TransArrayConfig`] / [`ConfigBuilder`] — Table 1's design point
+//!   (T=8, 256 TransRows, 6 units, 80 KB/unit buffers) with every knob
+//!   the DSE sweeps;
+//! * [`TransitiveArray`] — the accelerator behind a session
+//!   ([`Session::accelerator`]): configuration, energy model, and
+//!   plan-cache statistics;
 //! * [`runtime`] — the tile-execution runtime: a std-only scoped-thread
 //!   worker pool that shards the sub-tile grid across cores (the
-//!   `threads` knob of [`TransArrayConfig`]) with a bit-exact
-//!   determinism contract, and the [`Batch`] API that simulates many
-//!   layers concurrently;
-//! * [`Session`] / [`GemmRequest`] / [`GemmResponse`] — the validated
-//!   request–response front door ([`ConfigBuilder`] + [`TaError`])
-//!   behind which `ta-serve` runs a multi-tenant serving frontend.
+//!   `threads` knob) with a bit-exact determinism contract, and runs
+//!   batches one request per worker.
+//!
+//! `ta-serve` runs a multi-tenant serving frontend behind a `Session`.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use ta_core::{TransArrayConfig, TransitiveArray};
+//! use ta_core::{GemmRequest, Session, TransArrayConfig};
 //! use ta_quant::{gemm_i32, MatI32};
 //!
 //! let cfg = TransArrayConfig {
 //!     width: 4, max_transrows: 16, weight_bits: 4, m_tile: 4,
 //!     sample_limit: 0, ..TransArrayConfig::paper_w8()
 //! };
-//! let ta = TransitiveArray::new(cfg);
+//! let session = Session::new(cfg).unwrap();
 //! let w = MatI32::from_rows(&[&[3, -5, 7, 1], &[-8, 2, 0, 6]]);
 //! let x = MatI32::from_rows(&[&[1, 2], &[3, 4], &[5, 6], &[7, 8]]);
-//! let (out, report) = ta.execute_gemm(&w, &x);
-//! assert_eq!(out, gemm_i32(&w, &x));          // lossless
-//! assert!(report.density < 1.0);              // and sparse
+//! let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+//! assert_eq!(resp.output.unwrap(), gemm_i32(&w, &x)); // lossless
+//! assert!(resp.report.density < 1.0);                 // and sparse
 //! ```
 
 #![warn(missing_docs)]
@@ -56,20 +59,21 @@ mod unit;
 pub use accelerator::{GemmReport, TransitiveArray};
 pub use config::{ConfigBuilder, ScoreboardMode, TransArrayConfig};
 pub use error::{ConfigError, TaError};
-pub use runtime::{Batch, BatchReport, Runtime};
+pub use runtime::Runtime;
 pub use session::{GemmRequest, GemmResponse, Session};
 pub use source::{PatternSource, SlicedSource};
 pub use tiling::{dram_traffic, GemmShape, TrafficReport};
-pub use unit::{
-    evaluate_subtile, evaluate_subtile_into, process_dynamic, process_static, process_subtile,
-    xbar_group_conflicts, SubtileReport,
-};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
     use ta_quant::{gemm_i32, MatI32};
+
+    fn execute(cfg: TransArrayConfig, w: &MatI32, x: &MatI32) -> GemmResponse {
+        let session = Session::new(cfg).unwrap();
+        session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap()
+    }
 
     fn mat(bits: u32, rows: usize, cols: usize) -> impl Strategy<Value = MatI32> {
         let hi = (1i32 << (bits - 1)) - 1;
@@ -116,10 +120,9 @@ mod proptests {
                 },
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (out, rep) = ta.execute_gemm(&w, &x);
-            prop_assert_eq!(out, gemm_i32(&w, &x));
-            prop_assert!(rep.density <= 1.0 + 1e-9);
+            let resp = execute(cfg, &w, &x);
+            prop_assert_eq!(resp.output.unwrap(), gemm_i32(&w, &x));
+            prop_assert!(resp.report.density <= 1.0 + 1e-9);
         }
 
         /// Random-valued matrices drawn directly by proptest are exact too
@@ -134,9 +137,7 @@ mod proptests {
                 units: 1, sample_limit: 0,
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (out, _) = ta.execute_gemm(&w, &x);
-            prop_assert_eq!(out, gemm_i32(&w, &x));
+            prop_assert_eq!(execute(cfg, &w, &x).output.unwrap(), gemm_i32(&w, &x));
         }
 
         /// Density never exceeds 1 and ops respect the dense bound.
@@ -148,8 +149,7 @@ mod proptests {
                 units: 1, sample_limit: 0,
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (_, rep) = ta.execute_gemm(&w, &x);
+            let rep = execute(cfg, &w, &x).report;
             prop_assert!(rep.density <= 1.0 + 1e-9, "density {}", rep.density);
             prop_assert!(rep.total_ops <= rep.dense_bit_ops);
         }

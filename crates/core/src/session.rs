@@ -1,9 +1,8 @@
 //! The request–response front door: [`Session`], [`GemmRequest`],
 //! [`GemmResponse`].
 //!
-//! The historical API is a grab bag of entry points (`execute_gemm`,
-//! `simulate_layer`, `Batch`) with panicking validation. A `Session`
-//! wraps one accelerator behind a single validated surface:
+//! A `Session` is the only public way to run a GEMM. It wraps one
+//! accelerator behind a single validated surface:
 //!
 //! * construction goes through [`TransArrayConfig::try_validate`] (or
 //!   the [`crate::ConfigBuilder`]) and returns `Result`, never panics;
@@ -12,10 +11,12 @@
 //!   to [`ta_quant::gemm_i32`]) or a *simulate* request carrying a shape
 //!   plus a [`PatternSource`] (performance-only, LLM-scale);
 //! * results come back as [`GemmResponse`] values, and per-pattern
-//!   streaming is available through the [`ResultSink`] trait.
+//!   streaming is available through the [`ResultSink`] trait;
+//! * [`Session::run_batch`] runs many requests concurrently, one per
+//!   worker, each bit-identical to a lone [`Session::run_serial`].
 //!
-//! The serving frontend (`ta-serve`), the examples, and the benches all
-//! speak this API; the legacy entry points remain as thin delegates.
+//! The serving frontend (`ta-serve`), the examples, the figure drivers,
+//! and the benches all speak this API.
 //!
 //! # Examples
 //!
@@ -129,8 +130,8 @@ pub struct GemmResponse {
     /// The exact output matrix — `Some` for execute requests, `None`
     /// for simulate requests.
     pub output: Option<MatI32>,
-    /// The performance report (always present, bit-identical to the
-    /// legacy entry points').
+    /// The performance report (always present, bit-identical across
+    /// every `run_*` flavor and thread count).
     pub report: GemmReport,
 }
 
@@ -155,19 +156,13 @@ impl Session {
         Ok(Self { ta: TransitiveArray::new(cfg) })
     }
 
-    /// Wraps an already-constructed accelerator (which validated its
-    /// configuration at construction).
-    pub fn from_accelerator(ta: TransitiveArray) -> Self {
-        Self { ta }
-    }
-
     /// The configuration this session runs.
     pub fn config(&self) -> &TransArrayConfig {
         self.ta.config()
     }
 
-    /// The underlying accelerator (legacy entry points, plan-cache
-    /// statistics).
+    /// The underlying accelerator (configuration, energy model, and
+    /// plan-cache statistics).
     pub fn accelerator(&self) -> &TransitiveArray {
         &self.ta
     }
@@ -179,10 +174,11 @@ impl Session {
     /// [`TaError::ShapeMismatch`] / [`TaError::WeightRange`] /
     /// [`TaError::InputRange`] for invalid execute operands,
     /// [`TaError::SourceWidthMismatch`] for a simulate source at the
-    /// wrong TransRow width.
+    /// wrong TransRow width, and [`TaError::AccumulatorOverflow`] when a
+    /// valid execute request's exact output does not fit `i32`.
     pub fn run(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink))
+        self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink)
     }
 
     /// [`Self::run`] pinned to one worker: the whole request executes
@@ -196,7 +192,7 @@ impl Session {
     /// Same as [`Self::run`].
     pub fn run_serial(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::serial(), &mut NullSink))
+        self.run_validated(request, &Runtime::serial(), &mut NullSink)
     }
 
     /// [`Self::run_serial`] that streams every computed pattern result
@@ -212,27 +208,32 @@ impl Session {
         sink: &mut dyn ResultSink,
     ) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::serial(), sink))
+        self.run_validated(request, &Runtime::serial(), sink)
     }
 
     /// Runs many requests concurrently on the session's worker pool and
     /// returns responses in submission order. Every request is validated
     /// *before* any executes (all-or-nothing); each request then runs
-    /// serially within one worker, exactly like [`crate::Batch`] pins
-    /// its jobs, so every response is bit-identical to a lone
-    /// [`Self::run_serial`] call.
+    /// serially within one worker (no nested parallelism, so a batch
+    /// never oversubscribes the pool), so every response is
+    /// bit-identical to a lone [`Self::run_serial`] call. Every job
+    /// shares the accelerator's one plan cache.
     ///
     /// # Errors
     ///
-    /// The first invalid request's error; no work runs in that case.
+    /// The first invalid request's error, in which case no work runs;
+    /// otherwise the first (in submission order) request whose execution
+    /// failed.
     pub fn run_batch(&self, requests: Vec<GemmRequest>) -> Result<Vec<GemmResponse>, TaError> {
         for request in &requests {
             self.validate(request)?;
         }
         let rt = Runtime::new(self.config().threads);
-        Ok(rt.run_jobs(requests, |_, request| {
+        rt.run_jobs(requests, |_, request| {
             self.run_validated(request, &Runtime::serial(), &mut NullSink)
-        }))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Validates a request against the configuration without running it.
@@ -259,17 +260,17 @@ impl Session {
         request: GemmRequest,
         rt: &Runtime,
         sink: &mut dyn ResultSink,
-    ) -> GemmResponse {
-        match request.kind {
+    ) -> Result<GemmResponse, TaError> {
+        Ok(match request.kind {
             RequestKind::Execute { weights, input } => {
-                let (output, report) = self.ta.execute_gemm_with(&weights, &input, rt, sink);
+                let (output, report) = self.ta.execute_gemm_with(&weights, &input, rt, sink)?;
                 GemmResponse { output: Some(output), report }
             }
             RequestKind::Simulate { shape, mut source } => {
                 let report = self.ta.simulate_layer_with(shape, source.as_mut(), rt);
                 GemmResponse { output: None, report }
             }
-        }
+        })
     }
 }
 
@@ -312,15 +313,37 @@ mod tests {
     }
 
     #[test]
-    fn execute_request_matches_legacy_entry_point() {
-        let session = Session::new(small_cfg()).unwrap();
+    fn execute_request_matches_gemm_i32_and_serial_run() {
+        let parallel = Session::new(TransArrayConfig { threads: 4, ..small_cfg() }).unwrap();
+        let serial = Session::new(small_cfg()).unwrap();
         let w = det_mat(10, 13, 4, 1);
         let x = det_mat(13, 7, 8, 2);
-        let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
-        let (want_out, want_rep) = session.accelerator().execute_gemm(&w, &x);
-        assert_eq!(resp.output.as_ref().unwrap(), &want_out);
-        assert_eq!(resp.report, want_rep);
+        let resp = parallel.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+        let want = serial.run_serial(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+        assert_eq!(resp, want);
         assert_eq!(resp.output.unwrap(), gemm_i32(&w, &x));
+    }
+
+    #[test]
+    fn overflowing_execute_is_a_typed_error_not_a_panic() {
+        // Every operand fits 8 bits, so validation passes; the exact
+        // 140000-long dot product (2.29e9) does not fit the i32 output.
+        let session = Session::new(TransArrayConfig::paper_w8()).unwrap();
+        let w = MatI32::from_fn(1, 140_000, |_, _| -128);
+        let x = MatI32::from_fn(140_000, 1, |_, _| -128);
+        let request = GemmRequest::execute(w, x);
+        session.validate(&request).unwrap();
+        let err = session.run(request).unwrap_err();
+        assert_eq!(err, TaError::AccumulatorOverflow { row: 0, col: 0 });
+        assert_eq!(err.kind(), "accumulator_overflow");
+
+        // The error names the first overflowing element, not just any.
+        let cfg = TransArrayConfig { weight_bits: 16, act_bits: 16, ..small_cfg() };
+        let session = Session::new(TransArrayConfig { max_transrows: 32, ..cfg }).unwrap();
+        let w = MatI32::from_fn(2, 3, |r, _| if r == 1 { -32768 } else { 1 });
+        let x = MatI32::from_fn(3, 2, |_, c| if c == 1 { -32768 } else { 0 });
+        let err = session.run(GemmRequest::execute(w, x)).unwrap_err();
+        assert_eq!(err, TaError::AccumulatorOverflow { row: 1, col: 1 });
     }
 
     #[test]
@@ -351,21 +374,21 @@ mod tests {
     }
 
     #[test]
-    fn simulate_request_matches_simulate_layer() {
-        let session = Session::new(small_cfg()).unwrap();
+    fn simulate_request_matches_serial_run_and_borrowed_source() {
+        let parallel = Session::new(TransArrayConfig { threads: 4, ..small_cfg() }).unwrap();
+        let serial = Session::new(small_cfg()).unwrap();
         let w = det_mat(16, 16, 4, 7);
         let sliced = BitSlicedMatrix::slice(&w, 4);
-        let n_tile = session.config().n_tile();
+        let n_tile = serial.config().n_tile();
         let shape = GemmShape::new(16, 16, 8);
-        let resp = session
-            .run(GemmRequest::simulate(
-                shape,
-                OwnedSource { sliced: sliced.clone(), n_tile, width: 4 },
-            ))
-            .unwrap();
+        let request = || {
+            GemmRequest::simulate(shape, OwnedSource { sliced: sliced.clone(), n_tile, width: 4 })
+        };
+        let resp = parallel.run(request()).unwrap();
         assert!(resp.output.is_none());
+        assert_eq!(resp, serial.run_serial(request()).unwrap());
         let mut src = SlicedSource::new(&sliced, n_tile, 4);
-        let want = session.accelerator().simulate_layer(shape, &mut src);
+        let want = serial.accelerator().simulate_layer_with(shape, &mut src, &Runtime::serial());
         assert_eq!(resp.report, want);
     }
 

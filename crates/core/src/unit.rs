@@ -9,21 +9,22 @@
 //! [`ExecScratch`] whose row accumulation runs through the word-parallel
 //! `ta_bitslice::kernels` facade (fused multi-row adds), so no per-bit
 //! inner loop survives on the unit's execution path — the nested-`Vec`
-//! oracles ([`evaluate_subtile`], `ExecutionPlan::evaluate`) are the only
-//! remaining bit-at-a-time walkers, retained for equivalence testing.
+//! oracles (`evaluate_subtile`, `ExecutionPlan::evaluate`) are the only
+//! remaining bit-at-a-time walkers, compiled into tests only.
 
 use crate::config::{ScoreboardMode, TransArrayConfig};
 use std::sync::Arc;
 use ta_bitslice::{bitonic_depth, TileView};
 use ta_hasse::{
-    CachedPlan, ExecScratch, ExecutionPlan, NullSink, PlanKey, ResultSink, Scoreboard,
-    SharedPlanCache, StaticSi, StaticTileReport, TileStats,
+    CachedPlan, ExecScratch, ExecutionPlan, PlanKey, ResultSink, Scoreboard, SharedPlanCache,
+    StaticSi, StaticTileReport, TileStats,
 };
-use ta_sim::Crossbar;
+#[cfg(test)]
+use {ta_hasse::NullSink, ta_sim::Crossbar};
 
 /// Per-sub-tile performance report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SubtileReport {
+pub(crate) struct SubtileReport {
     /// TransRows processed.
     pub rows: usize,
     /// Accumulate ops (PPE slots incl. transit + outlier extras).
@@ -113,7 +114,10 @@ fn static_report(
 
 /// Processes one sub-tile in **dynamic** mode: builds the private SI with
 /// the hardware Scoreboard and reports cycles.
-pub fn process_dynamic(cfg: &TransArrayConfig, patterns: &[u16]) -> (Scoreboard, SubtileReport) {
+pub(crate) fn process_dynamic(
+    cfg: &TransArrayConfig,
+    patterns: &[u16],
+) -> (Scoreboard, SubtileReport) {
     let sb = Scoreboard::build(cfg.scoreboard_config(), patterns.iter().copied());
     let stats = Arc::new(TileStats::from_scoreboard(&sb));
     let report = dynamic_report(cfg, patterns, stats);
@@ -123,13 +127,17 @@ pub fn process_dynamic(cfg: &TransArrayConfig, patterns: &[u16]) -> (Scoreboard,
 /// Processes one sub-tile in **static** mode: the shared SI was prefetched
 /// from DRAM; no Scoreboard stage runs, but chain materialization pays SI
 /// misses.
-pub fn process_static(cfg: &TransArrayConfig, si: &StaticSi, patterns: &[u16]) -> SubtileReport {
+pub(crate) fn process_static(
+    cfg: &TransArrayConfig,
+    si: &StaticSi,
+    patterns: &[u16],
+) -> SubtileReport {
     static_report(cfg, patterns, &si.evaluate_tile(patterns))
 }
 
 /// Processes a sub-tile in whichever mode the config selects, building
 /// the static SI lazily from the caller-provided table.
-pub fn process_subtile(
+pub(crate) fn process_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
@@ -217,7 +225,7 @@ pub(crate) fn process_subtile_cached(
 }
 
 /// Processes **and** functionally evaluates one sub-tile in a single
-/// pass — `execute_gemm`'s inner loop. One Scoreboard build (or, when a
+/// pass — the execute path's inner loop. One Scoreboard build (or, when a
 /// cache is provided, one plan lookup) serves both the performance
 /// report and the node results, and every add lands directly in
 /// `scratch`'s pattern-result slab: callers read
@@ -264,11 +272,12 @@ pub(crate) fn process_and_evaluate_subtile_into(
 
 /// Expands per-pattern results into per-row results (zero rows yield zero
 /// vectors; duplicate rows share the computed vector). Compatibility path
-/// behind [`evaluate_subtile`]'s nested-`Vec` interface — the fused engine
-/// ([`evaluate_subtile_into`]) needs no expansion at all. Indexes the
+/// behind `evaluate_subtile`'s nested-`Vec` interface — the fused engine
+/// (`evaluate_subtile_into`) needs no expansion at all. Indexes the
 /// computed set via a sorted `O(|computed| log |computed|)` table rather
 /// than a dense `2^T` lookup, and clones one shared zero template per
 /// zero row instead of rebuilding it.
+#[cfg(test)]
 fn expand_rows(patterns: &[u16], computed: &[(u16, Vec<i64>)], m: usize) -> Vec<Vec<i64>> {
     let mut index: Vec<(u16, usize)> =
         computed.iter().enumerate().map(|(i, (p, _))| (*p, i)).collect();
@@ -307,7 +316,8 @@ fn xbar_conflict_cycles(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
 
 /// Per-group crossbar conflict statistics (energy/introspection): cycles
 /// the un-smoothed dispatch would need, using the Hamming-sorted order.
-pub fn xbar_group_conflicts(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
+#[cfg(test)]
+fn xbar_group_conflicts(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
     let t = cfg.width as usize;
     let mut xbar = Crossbar::new(cfg.width);
     let mut order: Vec<(u32, usize)> =
@@ -338,7 +348,8 @@ pub fn xbar_group_conflicts(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
 ///
 /// Panics if input arity disagrees with the width, or static mode lacks
 /// an SI.
-pub fn evaluate_subtile(
+#[cfg(test)]
+fn evaluate_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
@@ -357,7 +368,7 @@ pub fn evaluate_subtile(
     expand_rows(patterns, &computed, inputs.first().map_or(0, Vec::len))
 }
 
-/// Flat-buffer counterpart of [`evaluate_subtile`]: evaluates the
+/// Flat-buffer counterpart of `evaluate_subtile`: evaluates the
 /// sub-tile directly into `scratch`'s pattern-result slab. Row `r`'s
 /// result is `scratch.result(patterns[r])` afterwards (zero rows have no
 /// slab entry — their result is all zeros by definition). Reusing one
@@ -368,7 +379,8 @@ pub fn evaluate_subtile(
 ///
 /// Panics if `inputs.rows()` disagrees with the width, or static mode
 /// lacks an SI.
-pub fn evaluate_subtile_into(
+#[cfg(test)]
+fn evaluate_subtile_into(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
@@ -566,6 +578,38 @@ mod tests {
             let want_rows = evaluate_subtile(c, si_opt, &patterns, &inputs);
             evaluate_subtile_into(c, si_opt, &patterns, view, &mut scratch);
             assert_scratch_rows(&scratch, &patterns, &want_rows);
+        }
+    }
+
+    /// Fused-path contract, per sub-tile: the arena-backed engine
+    /// (`evaluate_subtile_into` over one reused, dirty `ExecScratch`)
+    /// produces row results bit-identical to the nested-`Vec` oracle
+    /// (`evaluate_subtile`) for random sub-tiles in both Scoreboard modes.
+    /// The end-to-end arm (fused GEMM ≡ `gemm_i32`, report-identical at
+    /// threads 1/2/8, cache on and off) lives in `tests/lossless_pipeline.rs`.
+    #[test]
+    fn fused_engine_matches_oracle_on_random_subtiles() {
+        let mut state = 515u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut scratch = ExecScratch::new();
+        for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
+            let patterns: Vec<u16> = (0..rows).map(|_| (next() & 0xF) as u16).collect();
+            let inputs: Vec<Vec<i64>> =
+                (0..4).map(|_| (0..m).map(|_| (next() % 121) as i64 - 60).collect()).collect();
+            let staged: Vec<i64> = inputs.iter().flat_map(|r| r.iter().copied()).collect();
+            let view = TileView::new(&staged, 4, m, m);
+            let si =
+                StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
+            for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+                let c = TransArrayConfig { scoreboard_mode: mode, ..cfg() };
+                let si_opt = (mode == ScoreboardMode::Static).then_some(&si);
+                let want = evaluate_subtile(&c, si_opt, &patterns, &inputs);
+                evaluate_subtile_into(&c, si_opt, &patterns, view, &mut scratch);
+                assert_scratch_rows(&scratch, &patterns, &want);
+            }
         }
     }
 

@@ -117,7 +117,7 @@ impl PlanKey {
 #[derive(Debug)]
 pub enum CachedPlan {
     /// Dynamic mode: the tile's statistics plus the per-lane op streams
-    /// (the functional evaluator `execute_gemm` replays).
+    /// (the functional evaluator of an execute request replays).
     Dynamic {
         /// ZR/TR/FR/PR statistics and cycle counts of the tile, shared
         /// so cache hits hand them out without deep-cloning the lane
@@ -392,7 +392,7 @@ impl PlanCache {
 }
 
 /// Thread-safe, **sharded** [`PlanCache`] the tile-execution runtime's
-/// workers (and `Batch` jobs) share.
+/// workers (and `Session::run_batch` requests) share.
 ///
 /// Keys are routed to a power-of-two number of shards by a deterministic
 /// hash of the canonical [`PlanKey`] (so every permutation of a multiset

@@ -426,4 +426,36 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.completed, 8);
     }
+
+    #[test]
+    fn overflowing_request_fails_typed_without_losing_its_worker() {
+        // Passes validation (every operand fits 8 bits), but the exact
+        // 140000-long dot product overflows the i32 output.
+        let session = Session::new(TransArrayConfig::paper_w8()).unwrap();
+        let server = Server::start(session, ServerConfig { workers: 1, ..Default::default() });
+        let w = MatI32::from_fn(1, 140_000, |_, _| -128);
+        let x = MatI32::from_fn(140_000, 1, |_, _| -128);
+        let err = server.submit(0, GemmRequest::execute(w, x)).unwrap().wait().unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Rejected(RejectReason::Invalid(TaError::AccumulatorOverflow {
+                row: 0,
+                col: 0
+            }))
+        );
+        // The same (only) worker still serves the next request.
+        let w = MatI32::from_fn(2, 3, |r, c| (r * 3 + c) as i32 - 2);
+        let x = MatI32::from_fn(3, 2, |r, c| (r + c) as i32);
+        let want = gemm_i32(&w, &x);
+        let served = server.submit(0, GemmRequest::execute(w, x)).unwrap().wait().unwrap();
+        assert_eq!(served.response.output.unwrap(), want);
+        let stats = server.shutdown();
+        assert_eq!((stats.worker_lost, stats.respawned), (0, 0));
+        assert_eq!((stats.failed, stats.completed), (1, 1));
+        assert_eq!(
+            stats.submitted,
+            stats.completed + stats.shed + stats.worker_lost + stats.failed,
+            "every admitted request is accounted for: {stats:?}"
+        );
+    }
 }

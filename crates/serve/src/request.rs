@@ -66,7 +66,9 @@ impl ServeResponse {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RejectReason {
-    /// The request failed accelerator-side validation; it would fail
+    /// The request failed accelerator-side validation at submit, or —
+    /// once admitted — its execution failed (an exact output that
+    /// overflows `i32`, counted in `ServerStats::failed`); it would fail
     /// identically on a direct `Session` call.
     Invalid(TaError),
     /// The tenant's admission-queue depth hit the

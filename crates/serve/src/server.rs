@@ -128,6 +128,13 @@ pub struct ServerStats {
     pub worker_lost: u64,
     /// Replacement workers spawned after a panic.
     pub respawned: u64,
+    /// Admitted requests whose execution returned an error — a valid
+    /// request whose exact output overflows `i32`. The ticket resolves
+    /// `Rejected(Invalid(e))` and the worker lives on. Once the server
+    /// is idle, `submitted == completed + shed + worker_lost + failed`
+    /// (`rejected` submits are never admitted, so `submitted` excludes
+    /// them).
+    pub failed: u64,
     /// Admitted requests the scheduler has absorbed into the batcher
     /// (counted whether they later complete, shed, or fail). Virtual-
     /// clock drivers spin on this to know their submits are batched
@@ -145,6 +152,7 @@ struct Counters {
     shed: AtomicU64,
     worker_lost: AtomicU64,
     respawned: AtomicU64,
+    failed: AtomicU64,
     absorbed: AtomicU64,
 }
 
@@ -370,6 +378,7 @@ impl Server {
             shed: c.shed.load(Ordering::Relaxed),
             worker_lost: c.worker_lost.load(Ordering::Relaxed),
             respawned: c.respawned.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
             absorbed: c.absorbed.load(Ordering::Relaxed),
         }
     }
@@ -672,7 +681,10 @@ fn run_one(ctx: &WorkerCtx, env: Envelope, padded_m: usize, batch_size: usize) -
                         batch_size,
                     }
                 })
-                .map_err(|e| ServeError::Rejected(RejectReason::Invalid(e)));
+                .map_err(|e| {
+                    inner.counters.failed.fetch_add(1, Ordering::Relaxed);
+                    ServeError::Rejected(RejectReason::Invalid(e))
+                });
             inner.release(tenant);
             if let Some(stream) = &stream {
                 let done = outcome.as_ref().map(|_| ()).map_err(Clone::clone);

@@ -4,8 +4,8 @@
 
 use crate::{contention, fig9, kernel, l7b, serve, zoo, Scale};
 use ta_bitslice::{conv_direct, flatten_weights, im2col};
-use ta_core::{GemmReport, GemmShape, TransArrayConfig, TransitiveArray};
-use ta_models::simulate_gemms;
+use ta_core::{GemmReport, GemmRequest, GemmShape, Session, TransArrayConfig};
+use ta_models::NamedGemm;
 use ta_quant::{gemm_i32, MatI32};
 
 /// An order-insensitive-free (FNV-1a) fingerprint accumulator for
@@ -149,12 +149,22 @@ enum L7bMode {
 
 struct L7bQproj(L7bMode);
 
-impl L7bQproj {
-    fn simulate(&self, cfg: TransArrayConfig) -> GemmReport {
-        let ta = TransitiveArray::new(cfg);
-        let mut src = l7b::pattern_source(ta.config().n_tile());
-        ta.simulate_layer(l7b::qproj_shape(), &mut src)
-    }
+/// Opens a session on a registry configuration (all of them are valid).
+fn session(cfg: TransArrayConfig) -> Session {
+    Session::new(cfg).expect("registry configurations are valid")
+}
+
+/// Runs `w × x` as one execute request; registry operands always fit.
+fn execute(session: &Session, w: MatI32, x: MatI32) -> (MatI32, GemmReport) {
+    let resp = session.run(GemmRequest::execute(w, x)).expect("registry operands fit");
+    (resp.output.expect("execute requests return the output"), resp.report)
+}
+
+/// One q_proj simulation on `session` from a fresh pattern stream.
+fn simulate_qproj(session: &Session) -> GemmReport {
+    let src = l7b::pattern_source(session.config().n_tile());
+    let request = GemmRequest::simulate(l7b::qproj_shape(), src);
+    session.run(request).expect("q_proj sources match the config").report
 }
 
 impl Workload for L7bQproj {
@@ -200,18 +210,21 @@ impl Workload for L7bQproj {
         let mut d = Digest::new();
         d.push_str(self.name());
         match self.0 {
-            L7bMode::Serial => d.push_report(&self.simulate(l7b::layer_config(scale, 1))),
-            L7bMode::Parallel => d.push_report(&self.simulate(l7b::layer_config(scale, threads))),
+            L7bMode::Serial => {
+                d.push_report(&simulate_qproj(&session(l7b::layer_config(scale, 1))))
+            }
+            L7bMode::Parallel => {
+                d.push_report(&simulate_qproj(&session(l7b::layer_config(scale, threads))))
+            }
             L7bMode::Cached => {
-                let ta = TransitiveArray::new(TransArrayConfig {
+                let session = session(TransArrayConfig {
                     plan_cache: l7b::DEFAULT_PLAN_CACHE_ENTRIES,
                     ..l7b::layer_config(scale, threads)
                 });
-                let n_tile = ta.config().n_tile();
-                let warm = ta.simulate_layer(l7b::qproj_shape(), &mut l7b::pattern_source(n_tile));
+                let warm = simulate_qproj(&session);
+                let ta = session.accelerator();
                 let before = ta.plan_cache_stats().expect("cached mode enables the plan cache");
-                let replay =
-                    ta.simulate_layer(l7b::qproj_shape(), &mut l7b::pattern_source(n_tile));
+                let replay = simulate_qproj(&session);
                 let hit_rate = ta.plan_cache_stats().unwrap().delta(&before).hit_rate();
                 assert_eq!(warm, replay, "warm plan-cached replay must stay bit-identical");
                 d.push_report(&replay);
@@ -219,9 +232,10 @@ impl Workload for L7bQproj {
             }
             L7bMode::Exec => {
                 let (w, x) = l7b::exec_operands(scale);
-                let ta = TransitiveArray::new(l7b::layer_config(scale, threads));
-                let (out, rep) = ta.execute_gemm(&w, &x);
-                assert_eq!(out, gemm_i32(&w, &x), "functional engine must stay bit-exact");
+                let want = gemm_i32(&w, &x);
+                let session = session(l7b::layer_config(scale, threads));
+                let (out, rep) = execute(&session, w, x);
+                assert_eq!(out, want, "functional engine must stay bit-exact");
                 d.push_mat(&out);
                 d.push_report(&rep);
             }
@@ -429,10 +443,21 @@ impl Workload for PlanCacheContention {
 // Model-zoo entries
 // ---------------------------------------------------------------------------
 
-fn digest_batch(d: &mut Digest, reports: &[GemmReport]) {
-    for rep in reports {
-        d.push_report(rep);
+/// Runs `layers` as one `Session::run_batch` of seeded simulate requests
+/// and digests every report, then the batch's total cycles and MACs
+/// folded in submission order.
+fn digest_batch(d: &mut Digest, cfg: TransArrayConfig, layers: &[NamedGemm], seed: u64) {
+    let session = session(cfg);
+    let requests = zoo::simulate_requests(session.config(), layers, seed);
+    let responses = session.run_batch(requests).expect("simulate requests are valid");
+    let (mut total_cycles, mut total_macs) = (0u64, 0u64);
+    for resp in &responses {
+        d.push_report(&resp.report);
+        total_cycles += resp.report.cycles;
+        total_macs += resp.report.shape.macs();
     }
+    d.push_u64(total_cycles);
+    d.push_u64(total_macs);
 }
 
 struct LlamaBlockPrefill;
@@ -458,13 +483,10 @@ impl Workload for LlamaBlockPrefill {
         assert_eq!(zoo::prefill_layers(scale).len(), 7);
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
-        let ta = TransitiveArray::new(zoo::block_config(scale, threads));
-        let report = simulate_gemms(&ta, &zoo::prefill_layers(scale), zoo::PREFILL_SEED);
         let mut d = Digest::new();
         d.push_str(self.name());
-        digest_batch(&mut d, &report.reports);
-        d.push_u64(report.total_cycles);
-        d.push_u64(report.total_macs);
+        let cfg = zoo::block_config(scale, threads);
+        digest_batch(&mut d, cfg, &zoo::prefill_layers(scale), zoo::PREFILL_SEED);
         d.finish()
     }
 }
@@ -495,13 +517,14 @@ impl Workload for LlamaBlockDecode {
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
         let stream = zoo::DecodeStream::new(0xA77E, zoo::decode_steps(scale));
-        let ta = TransitiveArray::new(TransArrayConfig { threads, ..zoo::decode_config() });
+        let session = session(TransArrayConfig { threads, ..zoo::decode_config() });
         let mut d = Digest::new();
         d.push_str(self.name());
         for t in 0..stream.steps() {
             let (k, q) = stream.step_operands(t);
-            let (out, rep) = ta.execute_gemm(&k, &q);
-            assert_eq!(out, gemm_i32(&k, &q), "decode QK^T must stay bit-exact");
+            let want = gemm_i32(&k, &q);
+            let (out, rep) = execute(&session, k, q);
+            assert_eq!(out, want, "decode QK^T must stay bit-exact");
             d.push_mat(&out);
             d.push_report(&rep);
         }
@@ -537,8 +560,8 @@ impl Workload for ResnetConvIm2col {
         let (weights, input) = zoo::resnet_operands(&shape, zoo::RESNET_SEED);
         let patches = im2col(&shape, &input);
         let wmat = flatten_weights(&shape, &weights);
-        let ta = TransitiveArray::new(TransArrayConfig { threads, ..zoo::resnet_config() });
-        let (out, rep) = ta.execute_gemm(&wmat, &patches);
+        let session = session(TransArrayConfig { threads, ..zoo::resnet_config() });
+        let (out, rep) = execute(&session, wmat, patches);
         assert_eq!(
             out,
             conv_direct(&shape, &weights, &input),
@@ -575,13 +598,14 @@ impl Workload for MoeExperts {
         assert!(zoo::moe_layers(scale).len() >= 8, "MoE means many small GEMMs");
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
-        let ta = TransitiveArray::new(zoo::moe_config(scale, threads));
-        let report = simulate_gemms(&ta, &zoo::moe_layers(scale), zoo::MOE_SEED);
         let mut d = Digest::new();
         d.push_str(self.name());
-        digest_batch(&mut d, &report.reports);
-        d.push_u64(report.total_cycles);
-        d.push_u64(report.total_macs);
+        digest_batch(
+            &mut d,
+            zoo::moe_config(scale, threads),
+            &zoo::moe_layers(scale),
+            zoo::MOE_SEED,
+        );
         d.finish()
     }
 }

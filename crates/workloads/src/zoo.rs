@@ -6,7 +6,7 @@
 use crate::Scale;
 use ta_bitslice::ConvShape;
 use ta_core::{GemmRequest, GemmShape, TransArrayConfig};
-use ta_models::{LlamaConfig, NamedGemm, StreamRng};
+use ta_models::{LlamaConfig, NamedGemm, QuantGaussianSource, StreamRng};
 use ta_quant::MatI32;
 
 // ---------------------------------------------------------------------------
@@ -41,6 +41,27 @@ pub fn block_config(scale: Scale, threads: usize) -> TransArrayConfig {
 /// The prefill block's seven FC GEMMs at `scale`'s sequence length.
 pub fn prefill_layers(scale: Scale) -> Vec<NamedGemm> {
     prefill_model().fc_layers(prefill_seq(scale))
+}
+
+/// One simulate request per layer, in layer order, for one
+/// `Session::run_batch`: each draws its weight patterns from a
+/// [`QuantGaussianSource`] at `cfg`'s precision with its own per-layer
+/// seed (the DESIGN.md §3 stand-in for real traces).
+pub fn simulate_requests(
+    cfg: &TransArrayConfig,
+    layers: &[NamedGemm],
+    seed: u64,
+) -> Vec<GemmRequest> {
+    layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| {
+            let layer_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let src =
+                QuantGaussianSource::new(cfg.width, cfg.weight_bits, cfg.n_tile(), layer_seed);
+            GemmRequest::simulate(layer.shape, src)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

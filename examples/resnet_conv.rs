@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example resnet_conv`
 
 use transitive_array::bitslice::{conv_direct, flatten_weights, im2col};
-use transitive_array::core::TransitiveArray;
+use transitive_array::core::{GemmRequest, Session};
 use transitive_array::models::resnet18_layers;
 use transitive_array::workloads::{zoo, Scale};
 
@@ -25,8 +25,9 @@ fn main() {
     // paper quantizes ResNet's interior layers).
     let patches = im2col(&shape, &input);
     let wmat = flatten_weights(&shape, &weights);
-    let ta = TransitiveArray::new(zoo::resnet_config());
-    let (out, report) = ta.execute_gemm(&wmat, &patches);
+    let session = Session::new(zoo::resnet_config()).expect("valid config");
+    let resp = session.run(GemmRequest::execute(wmat, patches)).expect("operands fit");
+    let (out, report) = (resp.output.expect("execute returns the output"), resp.report);
 
     // The direct loop-nest convolution is the golden model.
     let reference = conv_direct(&shape, &weights, &input);

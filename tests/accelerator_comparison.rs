@@ -3,12 +3,21 @@
 //! the same workloads.
 
 use transitive_array::baselines::{bit_sparsity_density, Baseline};
-use transitive_array::core::{GemmShape, PatternSource, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{
+    GemmReport, GemmRequest, GemmShape, PatternSource, Session, TransArrayConfig,
+};
 use transitive_array::models::{LlamaConfig, QuantGaussianSource, UniformBitSource, PAPER_SEQ_LEN};
 use transitive_array::sim::EnergyModel;
 
-fn ta(cfg: TransArrayConfig, sample: usize) -> TransitiveArray {
-    TransitiveArray::new(TransArrayConfig { sample_limit: sample, ..cfg })
+/// Simulates `shape` from `src` on `cfg` at the given sampling limit.
+fn simulate(
+    cfg: TransArrayConfig,
+    sample: usize,
+    shape: GemmShape,
+    src: impl PatternSource + Send + 'static,
+) -> GemmReport {
+    let session = Session::new(TransArrayConfig { sample_limit: sample, ..cfg }).unwrap();
+    session.run(GemmRequest::simulate(shape, src)).unwrap().report
 }
 
 #[test]
@@ -17,9 +26,9 @@ fn ta8_beats_every_baseline_on_llama_fc() {
     let layer = LlamaConfig::l1_7b().fc_layers(PAPER_SEQ_LEN)[0];
     let shape = GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m);
 
-    let accel = ta(TransArrayConfig::paper_w8(), 256);
-    let mut src = QuantGaussianSource::new(8, 8, accel.config().n_tile(), 3);
-    let ta_rep = accel.simulate_layer(shape, &mut src);
+    let cfg = TransArrayConfig::paper_w8();
+    let src = QuantGaussianSource::new(8, 8, cfg.n_tile(), 3);
+    let ta_rep = simulate(cfg, 256, shape, src);
 
     for b in Baseline::roster() {
         // Iso-precision (8-bit weights; Tender shown at its 4-bit config
@@ -41,9 +50,9 @@ fn ta4_speedup_over_olive_in_paper_band() {
     let em = EnergyModel::paper_28nm();
     let layer = LlamaConfig::l1_7b().fc_layers(PAPER_SEQ_LEN)[0];
     let shape = GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m);
-    let accel = ta(TransArrayConfig::paper_w4(), 256);
-    let mut src = QuantGaussianSource::new(8, 4, accel.config().n_tile(), 5);
-    let ta_rep = accel.simulate_layer(shape, &mut src);
+    let cfg = TransArrayConfig::paper_w4();
+    let src = QuantGaussianSource::new(8, 4, cfg.n_tile(), 5);
+    let ta_rep = simulate(cfg, 256, shape, src);
     let olive = Baseline::olive().simulate_gemm(shape, 8, 8, &em);
     let speedup = olive.cycles as f64 / ta_rep.cycles as f64;
     assert!((5.0..9.5).contains(&speedup), "TA-4bit vs Olive speedup {speedup} (paper: 7.46)");
@@ -52,9 +61,8 @@ fn ta4_speedup_over_olive_in_paper_band() {
 #[test]
 fn transitive_density_beats_bit_sparsity_by_about_4x() {
     // §5.5: 8× over dense and 4× over bit sparsity at 8-bit.
-    let accel = ta(TransArrayConfig::paper_w8(), 128);
-    let mut src = UniformBitSource::new(8, 256, 17);
-    let rep = accel.simulate_layer(GemmShape::new(1024, 1024, 64), &mut src);
+    let src = UniformBitSource::new(8, 256, 17);
+    let rep = simulate(TransArrayConfig::paper_w8(), 128, GemmShape::new(1024, 1024, 64), src);
     let mut src2 = UniformBitSource::new(8, 256, 17);
     let mut bit_density = 0.0;
     for t in 0..32 {

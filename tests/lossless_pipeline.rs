@@ -2,7 +2,9 @@
 //! bit-slice → Scoreboard → Transitive Array must be lossless at the
 //! integer level and match the FP32 reference within quantization error.
 
-use transitive_array::core::{GemmShape, ScoreboardMode, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{
+    GemmReport, GemmRequest, GemmShape, PatternSource, ScoreboardMode, Session, TransArrayConfig,
+};
 use transitive_array::models::{
     llm_activation_matrix, llm_weight_matrix, QuantGaussianSource, StreamRng, UniformBitSource,
 };
@@ -24,6 +26,22 @@ fn small_cfg(weight_bits: u32, mode: ScoreboardMode) -> TransArrayConfig {
     }
 }
 
+/// Runs `w × x` as one execute request on a fresh session.
+fn execute(cfg: TransArrayConfig, w: &MatI32, x: &MatI32) -> (MatI32, GemmReport) {
+    let session = Session::new(cfg).expect("valid config");
+    let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).expect("valid request");
+    (resp.output.expect("execute returns the output"), resp.report)
+}
+
+/// Simulates `shape` from `src` on `session`.
+fn simulate(
+    session: &Session,
+    shape: GemmShape,
+    src: impl PatternSource + Send + 'static,
+) -> GemmReport {
+    session.run(GemmRequest::simulate(shape, src)).expect("valid request").report
+}
+
 #[test]
 fn fp32_to_accelerator_end_to_end() {
     // LLM-like FP32 tensors.
@@ -41,8 +59,7 @@ fn fp32_to_accelerator_end_to_end() {
     let a_q = quantize(&a_f, &ap);
 
     // Integer losslessness on the accelerator.
-    let ta = TransitiveArray::new(small_cfg(8, ScoreboardMode::Dynamic));
-    let (out, report) = ta.execute_gemm(&w_q, &a_q);
+    let (out, report) = execute(small_cfg(8, ScoreboardMode::Dynamic), &w_q, &a_q);
     assert_eq!(out, gemm_i32(&w_q, &a_q), "accelerator must be bit-exact");
     assert!(report.density < 0.6, "density {}", report.density);
 
@@ -80,18 +97,16 @@ fn both_modes_agree_on_every_seed() {
         let x = MatI32::from_fn(20, 6, |_, _| {
             ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
         });
-        let dynamic = TransitiveArray::new(small_cfg(4, ScoreboardMode::Dynamic));
-        let static_ = TransitiveArray::new(small_cfg(4, ScoreboardMode::Static));
-        let (d, _) = dynamic.execute_gemm(&w, &x);
-        let (s, _) = static_.execute_gemm(&w, &x);
+        let (d, _) = execute(small_cfg(4, ScoreboardMode::Dynamic), &w, &x);
+        let (s, _) = execute(small_cfg(4, ScoreboardMode::Static), &w, &x);
         let reference = gemm_i32(&w, &x);
         assert_eq!(d, reference, "dynamic seed {seed}");
         assert_eq!(s, reference, "static seed {seed}");
     }
 }
 
-/// Determinism suite (tile-execution runtime contract): `execute_gemm`
-/// output **and** the full `GemmReport` — including the floating-point
+/// Determinism suite (tile-execution runtime contract): an execute
+/// request's output **and** the full `GemmReport` — including the floating-point
 /// density/energy/seconds fields — must be bit-identical for
 /// `threads = 1, 2, 8` in both Scoreboard modes.
 #[test]
@@ -104,14 +119,11 @@ fn parallel_execute_gemm_bit_identical_across_thread_counts() {
         ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
     });
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let reference = {
-            let ta = TransitiveArray::new(small_cfg(4, mode));
-            ta.execute_gemm(&w, &x)
-        };
+        let reference = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(reference.0, gemm_i32(&w, &x), "{mode:?} serial must be lossless");
         for threads in [2usize, 8] {
             let cfg = TransArrayConfig { threads, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference.0, "{mode:?} threads={threads}: output must be bit-exact");
             assert_eq!(
                 report, reference.1,
@@ -121,8 +133,8 @@ fn parallel_execute_gemm_bit_identical_across_thread_counts() {
     }
 }
 
-/// Same contract for at-scale simulation with sampling enabled: sharded
-/// `simulate_layer` must reproduce the serial report bit-for-bit across
+/// Same contract for at-scale simulation with sampling enabled: a sharded
+/// simulate request must reproduce the serial report bit-for-bit across
 /// thread counts, modes, and synthetic sources.
 #[test]
 fn parallel_simulate_layer_bit_identical_across_thread_counts() {
@@ -136,12 +148,12 @@ fn parallel_simulate_layer_bit_identical_across_thread_counts() {
                     scoreboard_mode: mode,
                     ..TransArrayConfig::paper_w8()
                 };
-                let ta = TransitiveArray::new(cfg);
-                let n_tile = ta.config().n_tile();
-                let mut quant = QuantGaussianSource::new(8, 8, n_tile, 7);
-                let quant_rep = ta.simulate_layer(shape, &mut quant);
-                let mut uniform = UniformBitSource::new(8, n_tile * 8, 7);
-                let uniform_rep = ta.simulate_layer(shape, &mut uniform);
+                let n_tile = cfg.n_tile();
+                let session = Session::new(cfg).unwrap();
+                let quant_rep =
+                    simulate(&session, shape, QuantGaussianSource::new(8, 8, n_tile, 7));
+                let uniform_rep =
+                    simulate(&session, shape, UniformBitSource::new(8, n_tile * 8, 7));
                 (quant_rep, uniform_rep)
             };
             let reference = run(1);
@@ -159,7 +171,7 @@ fn parallel_simulate_layer_bit_identical_across_thread_counts() {
 /// Plan-cache determinism contract: enabling the memoized plan cache
 /// must leave every `GemmReport` — including the floating-point
 /// density/energy/seconds fields — bit-identical to the uncached run,
-/// across thread counts, Scoreboard modes, and both entry points, while
+/// across thread counts, Scoreboard modes, and both request kinds, while
 /// actually hitting (a cache that never hits proves nothing).
 #[test]
 fn plan_cache_bit_identical_across_thread_counts() {
@@ -172,26 +184,22 @@ fn plan_cache_bit_identical_across_thread_counts() {
             scoreboard_mode: mode,
             ..TransArrayConfig::paper_w8()
         };
-        let reference = {
-            let ta = TransitiveArray::new(cfg_for(1, 0));
-            let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-            ta.simulate_layer(shape, &mut src)
+        let run = |session: &Session| {
+            let src = QuantGaussianSource::new(8, 8, session.config().n_tile(), 7);
+            simulate(session, shape, src)
         };
+        let reference = run(&Session::new(cfg_for(1, 0)).unwrap());
         for threads in [1usize, 2, 8] {
-            let ta = TransitiveArray::new(cfg_for(threads, 512));
-            let run = |ta: &TransitiveArray| {
-                let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-                ta.simulate_layer(shape, &mut src)
-            };
-            let cold = run(&ta);
-            let warm = run(&ta);
+            let session = Session::new(cfg_for(threads, 512)).unwrap();
+            let cold = run(&session);
+            let warm = run(&session);
             assert_eq!(cold, reference, "{mode:?} threads={threads}: cold cached run differs");
             assert_eq!(warm, reference, "{mode:?} threads={threads}: warm cached run differs");
-            let stats = ta.plan_cache_stats().expect("cache enabled");
+            let stats = session.accelerator().plan_cache_stats().expect("cache enabled");
             assert!(stats.insertions > 0, "{mode:?} threads={threads}: cache unused: {stats:?}");
             if mode == ScoreboardMode::Dynamic {
                 // Static mode correctly misses across calls: each
-                // simulate_layer builds a fresh SI table and cached
+                // simulate request builds a fresh SI table and cached
                 // entries are scoped to the SI instance that produced
                 // them. Dynamic plans carry no such scope, so the warm
                 // replay must reuse every one.
@@ -209,7 +217,7 @@ fn plan_cache_bit_identical_across_thread_counts() {
 /// single-mutex layout, so comparing it against 8 shards and the auto
 /// default proves reports never depend on shard routing or on which
 /// shard a CLOCK eviction sweeps — across thread counts, Scoreboard
-/// modes, and both entry points.
+/// modes, and both request kinds.
 #[test]
 fn plan_cache_shard_count_never_changes_a_report() {
     let shape = GemmShape::new(512, 256, 128);
@@ -220,7 +228,7 @@ fn plan_cache_shard_count_never_changes_a_report() {
         ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
     });
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        // simulate_layer entry point, at-scale config.
+        // Simulate request, at-scale config.
         let layer_run = |threads: usize, shards: usize| {
             let cfg = TransArrayConfig {
                 sample_limit: 24,
@@ -230,11 +238,10 @@ fn plan_cache_shard_count_never_changes_a_report() {
                 scoreboard_mode: mode,
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-            ta.simulate_layer(shape, &mut src)
+            let src = QuantGaussianSource::new(8, 8, cfg.n_tile(), 7);
+            simulate(&Session::new(cfg).unwrap(), shape, src)
         };
-        // execute_gemm entry point, small exact config. The tiny cache
+        // Execute request, small exact config. The tiny cache
         // (8 entries) keeps the CLOCK sweep active during the run.
         let gemm_run = |threads: usize, shards: usize| {
             let cfg = TransArrayConfig {
@@ -243,7 +250,7 @@ fn plan_cache_shard_count_never_changes_a_report() {
                 plan_cache_shards: shards,
                 ..small_cfg(4, mode)
             };
-            TransitiveArray::new(cfg).execute_gemm(&w, &x)
+            execute(cfg, &w, &x)
         };
         for threads in [1usize, 2, 8] {
             let layer_ref = layer_run(threads, 1);
@@ -253,20 +260,20 @@ fn plan_cache_shard_count_never_changes_a_report() {
                 assert_eq!(
                     layer_run(threads, shards),
                     layer_ref,
-                    "{mode:?} threads={threads} shards={shards}: simulate_layer report differs"
+                    "{mode:?} threads={threads} shards={shards}: simulate report differs"
                 );
                 assert_eq!(
                     gemm_run(threads, shards),
                     gemm_ref,
-                    "{mode:?} threads={threads} shards={shards}: execute_gemm result differs"
+                    "{mode:?} threads={threads} shards={shards}: execute result differs"
                 );
             }
         }
     }
 }
 
-/// The same contract for the exact functional engine: cached
-/// `execute_gemm` output and report equal the uncached serial run at
+/// The same contract for the exact functional engine: a cached execute
+/// request's output and report equal the uncached serial run at
 /// threads 1/2/8.
 #[test]
 fn plan_cache_execute_gemm_bit_identical_across_thread_counts() {
@@ -277,71 +284,35 @@ fn plan_cache_execute_gemm_bit_identical_across_thread_counts() {
         ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
     });
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let reference = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let reference = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(reference.0, gemm_i32(&w, &x), "{mode:?}: reference must be lossless");
         for threads in [1usize, 2, 8] {
             let cfg = TransArrayConfig { threads, plan_cache: 128, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference.0, "{mode:?} threads={threads}: cached output differs");
             assert_eq!(report, reference.1, "{mode:?} threads={threads}: cached report differs");
         }
     }
 }
 
-/// Fused-path contract: the arena-backed engine behind `execute_gemm`
-/// (`evaluate_subtile_into` over a reused, dirty `ExecScratch`) produces
-/// row results bit-identical to the nested-`Vec` oracle
-/// (`evaluate_subtile`) for random sub-tiles in both Scoreboard modes —
-/// and the end-to-end fused GEMM stays lossless and report-identical at
-/// threads 1/2/8 with the plan cache on and off.
+/// Fused-path contract, end to end: the arena-backed engine behind every
+/// execute request matches the dense oracle (`gemm_i32`) and stays
+/// report-identical at threads 1/2/8 with the plan cache on and off, in
+/// both Scoreboard modes. The per-sub-tile arm (slab results ≡ the
+/// nested-`Vec` oracle over one reused, dirty scratch) is a ta-core unit
+/// test, next to the crate-private oracle it needs.
 #[test]
 fn fused_engine_matches_oracle_and_stays_deterministic() {
-    use ta_bitslice::TileView;
-    use ta_hasse::{ExecScratch, ScoreboardConfig, StaticSi};
-    use transitive_array::core::{evaluate_subtile, evaluate_subtile_into};
-
-    // Per-sub-tile oracle equivalence with one scratch reused (dirty)
-    // across every tile, mode, and shape.
-    let mut scratch = ExecScratch::new();
-    let mut rng = StreamRng::new(515);
-    for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
-        let patterns: Vec<u16> = (0..rows).map(|_| (rng.next_u64() & 0xF) as u16).collect();
-        let inputs: Vec<Vec<i64>> =
-            (0..4).map(|_| (0..m).map(|_| (rng.next_gaussian() * 30.0) as i64).collect()).collect();
-        let staged: Vec<i64> = inputs.iter().flat_map(|r| r.iter().copied()).collect();
-        let view = TileView::new(&staged, 4, m, m);
-        let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-            let cfg = small_cfg(4, mode);
-            let si_opt = (mode == ScoreboardMode::Static).then_some(&si);
-            let want = evaluate_subtile(&cfg, si_opt, &patterns, &inputs);
-            evaluate_subtile_into(&cfg, si_opt, &patterns, view, &mut scratch);
-            for (r, (&p, want_row)) in patterns.iter().zip(&want).enumerate() {
-                if p == 0 {
-                    assert!(want_row.iter().all(|&v| v == 0), "{mode:?} row {r}");
-                } else {
-                    assert_eq!(
-                        scratch.result(p),
-                        Some(want_row.as_slice()),
-                        "{mode:?} m={m} row {r}"
-                    );
-                }
-            }
-        }
-    }
-
-    // End-to-end: the fused engine at threads 1/2/8 × modes × cache
-    // settings agrees with the dense reference and the serial report.
     let w = MatI32::from_fn(37, 29, |r, c| (((r * 29 + c) as i64 * 2654435761 % 15) - 7) as i32);
     let x = MatI32::from_fn(29, 11, |r, c| (((r * 11 + c) as i64 * 40503 % 255) - 127) as i32);
     let reference = gemm_i32(&w, &x);
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let serial = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let serial = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(serial.0, reference, "{mode:?}: fused serial engine must be lossless");
         for threads in [1usize, 2, 8] {
             for plan_cache in [0usize, 64] {
                 let cfg = TransArrayConfig { threads, plan_cache, ..small_cfg(4, mode) };
-                let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+                let (out, report) = execute(cfg, &w, &x);
                 assert_eq!(out, reference, "{mode:?} threads={threads} cache={plan_cache}");
                 assert_eq!(
                     report, serial.1,
@@ -369,11 +340,11 @@ fn word_parallel_kernels_keep_reports_bit_identical() {
     });
     let reference = gemm_i32(&w, &x);
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let serial = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let serial = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(serial.0, reference, "{mode:?}: kernel path must be lossless");
         for threads in [1usize, 2, 8] {
             let cfg = TransArrayConfig { threads, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference, "{mode:?} threads={threads}: output must be bit-exact");
             assert_eq!(
                 report, serial.1,
@@ -401,8 +372,7 @@ fn eight_bit_weights_wide_activations() {
         sample_limit: 0,
         ..TransArrayConfig::paper_w8()
     };
-    let ta = TransitiveArray::new(cfg);
-    let (out, report) = ta.execute_gemm(&w, &x);
+    let (out, report) = execute(cfg, &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
     // 8-bit TranSparsity on Gaussian data sits well below bit sparsity.
     assert!(report.density < 0.40, "density {}", report.density);
